@@ -33,7 +33,6 @@ package aickpt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/ckpt"
@@ -271,10 +270,7 @@ func New(opts Options) (*Runtime, error) {
 			// contract; stay serial unless explicitly opted in.
 			opts.CommitWorkers = 1
 		} else {
-			opts.CommitWorkers = runtime.GOMAXPROCS(0)
-			if opts.CommitWorkers > 8 {
-				opts.CommitWorkers = 8
-			}
+			opts.CommitWorkers = sim.DefaultWorkers()
 		}
 	}
 	set := 0

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"time"
@@ -22,7 +23,8 @@ const restorePageSize = 4096
 // epoch-loader counts. Two damage variants are swept — L1 wiped with the
 // chain served by a striped parallel file system, and L1 wiped plus a peer
 // node lost with every epoch rebuilt from erasure shards — and each sweep
-// point's image is compared bit for bit against the serial restore.
+// point's image is compared bit for bit against the bytes the scenario
+// sealed.
 // Restore time is virtual: tier reads are charged to the simulated links,
 // so the speedup measures how well overlapping epoch loads aggregates
 // server/NIC bandwidth, independent of host core count. The GF(256)
@@ -83,10 +85,7 @@ func restoreScenario(epochs, pages, servers int, workerList, jsonPath string) {
 		for _, p := range points {
 			verdict := "bit-identical"
 			if !p.identical {
-				verdict = "CORRUPT (differs from serial)"
-			}
-			if p.workers == base.workers {
-				verdict = "serial baseline"
+				verdict = "CORRUPT (differs from the sealed bytes)"
 			}
 			fmt.Printf("%-9d %-16v %-9.2f %-14v %s\n",
 				p.workers, p.elapsed.Round(time.Microsecond),
@@ -105,7 +104,7 @@ func restoreScenario(epochs, pages, servers int, workerList, jsonPath string) {
 
 		for _, p := range points {
 			if !p.identical {
-				fmt.Fprintf(os.Stderr, "restore: %s at %d workers diverged from the serial image\n", v.name, p.workers)
+				fmt.Fprintf(os.Stderr, "restore: %s at %d workers diverged from the sealed bytes\n", v.name, p.workers)
 				os.Exit(1)
 			}
 			_, cp := benchObservability(obs.BuildEpochRecords(nil, p.spans))
@@ -181,7 +180,7 @@ type restorePoint struct {
 	elapsed   time.Duration // virtual time of the whole restore
 	tierBusy  time.Duration // summed SpanRestore durations (overlap > elapsed)
 	folded    int
-	identical bool
+	identical bool // image equals the sealed chain's newest bytes
 	spans     []obs.Span
 }
 
@@ -194,6 +193,20 @@ func restoreFill(p, e int) []byte {
 		buf[i] = byte(p*31 + e*7 + i%251)
 	}
 	return buf
+}
+
+// sealedImage reports whether im is exactly the chain sweepRestore sealed:
+// restart epoch epochs, and every page at its last epoch's restoreFill.
+func sealedImage(im *ckpt.Image, epochs, pages int) bool {
+	if im.Epoch != uint64(epochs) || len(im.Pages) != pages {
+		return false
+	}
+	for p := 0; p < pages; p++ {
+		if !bytes.Equal(im.Pages[p], restoreFill(p, epochs)) {
+			return false
+		}
+	}
+	return true
 }
 
 // sweepRestore seals the chain through h, applies the damage, and restores
@@ -219,7 +232,6 @@ func sweepRestore(k *sim.Kernel, h *multilevel.Hierarchy, met *obs.Metrics, epoc
 		}
 		damage()
 
-		var baseIm *ckpt.Image
 		for _, w := range workers {
 			spanMark := len(met.Spans.Snapshot())
 			start := k.Now()
@@ -235,12 +247,7 @@ func sweepRestore(k *sim.Kernel, h *multilevel.Hierarchy, met *obs.Metrics, epoc
 					pt.tierBusy += s.Dur()
 				}
 			}
-			if baseIm == nil {
-				baseIm = im
-				pt.identical = true
-			} else {
-				pt.identical = imagesEqual(baseIm, im)
-			}
+			pt.identical = sealedImage(im, epochs, pages)
 			points = append(points, pt)
 		}
 	})

@@ -2,7 +2,6 @@ package aickpt
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/ckpt"
@@ -201,24 +200,10 @@ func (h *Hierarchy) Close() error { return h.inner.Close() }
 
 // Restore folds the checkpoint chain into a memory image, reading each
 // epoch from the fastest surviving tier, and reports per-epoch sources.
-// Tier loads for different epochs overlap across min(GOMAXPROCS, 8)
-// loaders while the fold stays in strict chain order, so the image and the
-// per-epoch sources match a serial restore exactly; use RestoreWorkers to
-// pin the loader count (1 = serial).
+// Tier loads for different epochs overlap, one loader per core (up to 8),
+// while the fold stays in strict chain order.
 func (h *Hierarchy) Restore() (*Image, []TierRestoreStep, error) {
-	return h.RestoreWorkers(0)
-}
-
-// RestoreWorkers is Restore with an explicit epoch-loader count:
-// 1 restores serially, 0 picks min(GOMAXPROCS, 8).
-func (h *Hierarchy) RestoreWorkers(workers int) (*Image, []TierRestoreStep, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	im, steps, err := h.inner.RestoreWith(multilevel.RestoreOptions{Workers: workers})
+	im, steps, err := h.inner.RestoreWith(multilevel.RestoreOptions{})
 	out := make([]TierRestoreStep, len(steps))
 	for i, s := range steps {
 		out[i] = TierRestoreStep{Epoch: s.Epoch, Tier: s.Tier, Detail: s.Detail}

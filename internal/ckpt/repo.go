@@ -172,7 +172,7 @@ type epochStage struct {
 	cond   *sync.Cond
 	queue  []recordJob
 	closed bool
-	err    error // first segment-write error, guarded by mu
+	err    error //aickpt:guardedby mu (first segment-write error)
 
 	writeMu sync.Mutex // serializes segment appends (writer batches and sync path)
 	w       *segmentWriter

@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/compress"
+	"repro/internal/sim"
 	"repro/internal/util"
 )
 
@@ -188,52 +188,20 @@ func VisitSegment(fs FS, m Manifest, visit func(page int, data []byte)) error {
 	return readSegment(fs, m, visit)
 }
 
-// RestoreOptions tunes Restore.
-type RestoreOptions struct {
-	// Workers is the number of concurrent segment readers: each worker
-	// parses, hash-verifies and codec-decodes whole segments (the chain's
-	// base and epochs) while the caller folds finished segments into the
-	// image in strict chain order, so the result is bit-identical to a
-	// serial restore for any worker count. 1 restores serially on the
-	// calling goroutine (the historical behavior); 0 picks
-	// min(GOMAXPROCS, 8).
-	Workers int
-}
-
-// restoreWorkers resolves the worker-count option against the chain width:
-// no more workers than segments, and min(GOMAXPROCS, 8) by default.
-func restoreWorkers(opt RestoreOptions, segments int) int {
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w > segments {
-		w = segments
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Restore folds the chain (newest committed base, then every live sealed
 // epoch, oldest to newest, newest content wins) into a memory image.
 // Unsealed segments — a checkpoint or compaction interrupted by a crash —
 // are ignored, which is exactly the recovery semantics of asynchronous
 // checkpointing: the restart point is the last *completed* checkpoint. With
 // a compacted chain the fold reads at most depth segments (the base plus
-// the epochs after it) instead of the whole history. Segments are read by
-// a small worker pool (see RestoreOptions.Workers); use RestoreWith to
-// control the width.
-func Restore(fs FS) (*Image, error) {
-	return RestoreWith(fs, RestoreOptions{})
-}
+// the epochs after it) instead of the whole history. Segments are parsed,
+// hash-verified and decoded by sim.DefaultWorkers() concurrent readers and
+// folded in chain order, so the first corrupt entry in chain order is the
+// error returned.
+func Restore(fs FS) (*Image, error) { return restore(fs, 0) }
 
-// RestoreWith is Restore with explicit options.
-func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
+// restore is Restore with an explicit reader count (0 = default).
+func restore(fs FS, workers int) (*Image, error) {
 	ch, err := LoadChain(fs)
 	if err != nil {
 		return nil, err
@@ -247,12 +215,24 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 	}
 	entries = append(entries, ch.Epochs...)
 
+	type segment struct {
+		pages map[int][]byte
+		err   error
+	}
 	im := &Image{PageSize: ch.PageSize, Pages: map[int][]byte{}}
-	fold := func(m Manifest, pages map[int][]byte) {
+	sim.Ordered(sim.NewRealEnv(), "restore", len(entries), workers, func(i int) segment {
+		pages := make(map[int][]byte, entries[i].PageCount)
+		err := readSegment(fs, entries[i], func(page int, data []byte) { pages[page] = data })
+		return segment{pages, err}
+	}, func(i int, seg segment) bool {
+		if err = seg.err; err != nil {
+			return false
+		}
+		m := entries[i]
 		if m.PageCount > 0 {
 			im.SegmentsRead++
 		}
-		for page, data := range pages {
+		for page, data := range seg.pages {
 			im.Pages[page] = data
 		}
 		if m.Base != nil {
@@ -260,66 +240,10 @@ func RestoreWith(fs FS, opt RestoreOptions) (*Image, error) {
 		} else {
 			im.Epoch = m.Epoch
 		}
-	}
-
-	if restoreWorkers(opt, len(entries)) == 1 {
-		for _, m := range entries {
-			pages := make(map[int][]byte, m.PageCount)
-			if err := readSegment(fs, m, func(page int, data []byte) {
-				pages[page] = data
-			}); err != nil {
-				return nil, err
-			}
-			fold(m, pages)
-		}
-		return im, nil
-	}
-	return restoreParallel(fs, entries, im, fold, restoreWorkers(opt, len(entries)))
-}
-
-// restoreParallel fans segment reads out across workers. Workers claim
-// entries in chain order from an atomic cursor and deliver each parsed
-// segment through its own buffered slot, so no worker ever blocks on the
-// folder; the folder consumes slots in chain order, which reproduces the
-// serial newest-epoch-wins fold (and the serial error: the first failing
-// entry in chain order wins, later reads are cancelled via the stop flag).
-func restoreParallel(fs FS, entries []Manifest, im *Image, fold func(Manifest, map[int][]byte), workers int) (*Image, error) {
-	type segResult struct {
-		pages map[int][]byte
-		err   error
-	}
-	results := make([]chan segResult, len(entries))
-	for i := range results {
-		results[i] = make(chan segResult, 1)
-	}
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(entries) || stop.Load() {
-					return
-				}
-				m := entries[i]
-				pages := make(map[int][]byte, m.PageCount)
-				err := readSegment(fs, m, func(page int, data []byte) {
-					pages[page] = data
-				})
-				if err != nil {
-					pages = nil
-				}
-				results[i] <- segResult{pages: pages, err: err}
-			}
-		}()
-	}
-	for i, m := range entries {
-		r := <-results[i]
-		if r.err != nil {
-			stop.Store(true)
-			return nil, r.err
-		}
-		fold(m, r.pages)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return im, nil
 }

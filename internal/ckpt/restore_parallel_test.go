@@ -2,8 +2,8 @@ package ckpt
 
 import (
 	"bytes"
-	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -12,13 +12,15 @@ import (
 
 // buildTestChain seals epochs 1..epochs with overlapping dirty sets —
 // repeated content (dedup refs when enabled), page overwrites (newest-wins
-// folding), and fresh pages — returning the FS holding the chain.
-func buildTestChain(t *testing.T, epochs, pageSize int, codec compress.Codec, dedup bool) *MemFS {
+// folding), and fresh pages — returning the FS holding the chain and the
+// newest content written to every page, the oracle a restore must match.
+func buildTestChain(t *testing.T, epochs, pageSize int, codec compress.Codec, dedup bool) (*MemFS, map[int][]byte) {
 	t.Helper()
 	fs := &MemFS{}
 	r := NewRepository(fs, pageSize)
 	r.SetCodec(codec)
 	r.SetDedup(dedup)
+	written := map[int][]byte{}
 	for e := uint64(1); e <= uint64(epochs); e++ {
 		for p := 0; p < 8; p++ {
 			data := make([]byte, pageSize)
@@ -33,15 +35,17 @@ func buildTestChain(t *testing.T, epochs, pageSize int, codec compress.Codec, de
 					data[i] = byte(int(e)*31 + p + i)
 				}
 			}
-			if err := r.WritePage(e, int(e)%4*8+p, data, pageSize); err != nil {
+			page := int(e)%4*8 + p
+			if err := r.WritePage(e, page, data, pageSize); err != nil {
 				t.Fatal(err)
 			}
+			written[page] = data
 		}
 		if err := r.EndEpoch(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return fs
+	return fs, written
 }
 
 // compactPrefix folds epochs [1, to] into a committed base so the chain
@@ -73,28 +77,11 @@ func compactPrefix(t *testing.T, fs FS, to uint64, pageSize int, codec uint8) {
 	GCSuperseded(fs, ch)
 }
 
-func imagesEqual(a, b *Image) error {
-	if a.Epoch != b.Epoch {
-		return fmt.Errorf("epoch %d != %d", a.Epoch, b.Epoch)
-	}
-	if a.SegmentsRead != b.SegmentsRead {
-		return fmt.Errorf("segments read %d != %d", a.SegmentsRead, b.SegmentsRead)
-	}
-	if len(a.Pages) != len(b.Pages) {
-		return fmt.Errorf("page count %d != %d", len(a.Pages), len(b.Pages))
-	}
-	for p, d := range a.Pages {
-		if !bytes.Equal(d, b.Pages[p]) {
-			return fmt.Errorf("page %d content differs", p)
-		}
-	}
-	return nil
-}
-
-// Parallel restore must be bit-identical to the serial fold for every
-// worker count, across dedup refs, compacted bases and codec on/off.
+// Restore at every reader count must reproduce exactly the content the
+// chain was written with, across dedup refs, compacted bases and codec
+// on/off.
 func TestRestoreParallelBitIdentity(t *testing.T) {
-	const pageSize = 128
+	const pageSize, epochs = 128, 12
 	for _, tc := range []struct {
 		name  string
 		codec compress.Codec
@@ -108,34 +95,38 @@ func TestRestoreParallelBitIdentity(t *testing.T) {
 		{"dedup-base", compress.None, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := buildTestChain(t, 12, pageSize, tc.codec, tc.dedup)
+			fs, written := buildTestChain(t, epochs, pageSize, tc.codec, tc.dedup)
+			segments := epochs
 			if tc.base {
 				compactPrefix(t, fs, 6, pageSize, uint8(tc.codec))
-			}
-			want, err := RestoreWith(fs, RestoreOptions{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
+				segments = 1 + epochs - 6
 			}
 			for workers := 1; workers <= 8; workers++ {
-				got, err := RestoreWith(fs, RestoreOptions{Workers: workers})
+				got, err := restore(fs, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if err := imagesEqual(want, got); err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+				if got.Epoch != epochs || got.SegmentsRead != segments {
+					t.Fatalf("workers=%d: epoch %d, %d segments read; want %d, %d",
+						workers, got.Epoch, got.SegmentsRead, epochs, segments)
+				}
+				if len(got.Pages) != len(written) {
+					t.Fatalf("workers=%d: %d pages restored, %d written", workers, len(got.Pages), len(written))
+				}
+				for p, want := range written {
+					if !bytes.Equal(got.Pages[p], want) {
+						t.Fatalf("workers=%d: page %d differs from the content written", workers, p)
+					}
 				}
 			}
 		})
 	}
 }
 
-// A corrupt interior segment must surface the same error (the first
-// failing entry in chain order) at every worker count.
-func TestRestoreParallelErrorMatchesSerial(t *testing.T) {
-	const pageSize = 128
-	fs := buildTestChain(t, 8, pageSize, compress.None, false)
-	// Corrupt epoch 4's segment payload (flip a byte past the header).
-	name := segmentName(4)
+// corruptSegment flips one payload byte of epoch's segment.
+func corruptSegment(t *testing.T, fs *MemFS, epoch uint64) {
+	t.Helper()
+	name := segmentName(epoch)
 	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
@@ -156,18 +147,31 @@ func TestRestoreParallelErrorMatchesSerial(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	_, serialErr := RestoreWith(fs, RestoreOptions{Workers: 1})
-	if serialErr == nil {
-		t.Fatal("serial restore of corrupt chain succeeded")
+// With two corrupt interior segments, every reader count must surface the
+// error of the first one in chain order — even when a reader finishes the
+// later one first.
+func TestRestoreParallelErrorMatchesSerial(t *testing.T) {
+	const pageSize = 128
+	fs, _ := buildTestChain(t, 8, pageSize, compress.None, false)
+	corruptSegment(t, fs, 4)
+	corruptSegment(t, fs, 6)
+	m, err := ReadManifest(fs, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for workers := 2; workers <= 8; workers += 2 {
-		_, err := RestoreWith(fs, RestoreOptions{Workers: workers})
+	want := VisitSegment(fs, m, func(int, []byte) {})
+	if want == nil || !strings.Contains(want.Error(), "epoch 4 ") {
+		t.Fatalf("corrupting epoch 4 produced %v", want)
+	}
+	for workers := 1; workers <= 8; workers++ {
+		_, err := restore(fs, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: restore of corrupt chain succeeded", workers)
 		}
-		if err.Error() != serialErr.Error() {
-			t.Fatalf("workers=%d: error %q, serial %q", workers, err, serialErr)
+		if err.Error() != want.Error() {
+			t.Fatalf("workers=%d: error %q, want the first corrupt entry's %q", workers, err, want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,6 +72,30 @@ func (g *gateStore) WritePage(epoch uint64, page int, data []byte, size int) err
 
 func (g *gateStore) EndEpoch(epoch uint64) error { return nil }
 
+// waitParked returns once a goroutine is parked in WritePage on the gate
+// channel. Receiving the page from inflight only proves the committer
+// reached the gate: it still has to block on it, and blocking on a channel
+// can allocate the runtime's wait record (a sudog) when the per-P cache is
+// empty. Reading the goroutine table until the committer's state is
+// "chan receive" makes that allocation happen before a measured window
+// opens, whatever the scheduling.
+func waitParked() {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "(*gateStore).WritePage") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestAllocGateCowFaultPath drives two epochs of COW
 // faults with the committer frozen mid-flush: the first epoch's faults may
 // allocate page copies (the pool is cold), but once those copies are
@@ -78,6 +104,12 @@ func TestAllocGateCowFaultPath(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("race instrumentation skews exact allocation accounting")
 	}
+	// No GC cycle may start while faults are measured: every cycle start
+	// wakes runtime goroutines that allocate (the unique-map cleanup run
+	// on each cycle is one), and MemStats counts their objects too.
+	// Disabling GC here, before any epoch, also waits out a cycle already
+	// in its mark phase.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const pages = 64
 	const pageSize = 4096
 	store := newGateStore()
@@ -110,6 +142,9 @@ func TestAllocGateCowFaultPath(t *testing.T) {
 		blocked := <-store.inflight // committer now InProgress on this page
 		var before, after runtime.MemStats
 		if measure {
+			// The window covers the fault path alone: the committer's
+			// handoff to the gate must be complete (see waitParked).
+			waitParked()
 			runtime.ReadMemStats(&before)
 		}
 		for p := 0; p < pages; p++ {

@@ -2,28 +2,13 @@ package multilevel
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/erasure"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
-
-// decodeWorkers sizes the reconstruction pool: one worker per core up to
-// the page count, and no pool at all for narrow loads where goroutine
-// startup would cost more than the decode.
-func decodeWorkers(pages int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > pages {
-		w = pages
-	}
-	if pages < 8 {
-		return 1
-	}
-	return w
-}
 
 // PeerNode is one remote node of the peer tier. It holds erasure shards in
 // its memory (modeling a partner node's ramdisk) and may be backed by a
@@ -226,10 +211,10 @@ func (t *PeerTier) Degraded(epoch uint64) bool {
 // reconstructs every page, succeeding as long as k shards per page remain.
 // Shard gathering is serial — each fetch is a link transfer whose (virtual)
 // time is the real cost being modeled — but the k-of-n reconstruction of
-// the gathered pages is pure CPU, so it fans out across a worker pool
-// sized to GOMAXPROCS. The workers are plain goroutines, not env
-// processes: they touch no links, clocks or env primitives, so they are
-// safe under the deterministic kernel (which they cost no virtual time).
+// the gathered pages is pure CPU, so it fans out across a pool in a
+// RealEnv even under the deterministic kernel: the decoders touch no
+// links, clocks or env primitives, so they cost no virtual time. Pages
+// fold in ID order, so the lowest failing page is the error returned.
 func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 	t.mu.Lock()
 	meta, ok := t.meta[epoch]
@@ -254,41 +239,25 @@ func (t *PeerTier) Load(epoch uint64) (*EpochData, error) {
 		}
 		sets[j] = shards
 	}
-	out := make([][]byte, len(ids))
-	errs := make([]error, len(ids))
-	decode := func(j int) {
-		out[j], errs[j] = t.coder.Decode(sets[j], meta.sizes[ids[j]])
-	}
-	if workers := decodeWorkers(len(ids)); workers <= 1 {
-		for j := range ids {
-			decode(j)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(cursor.Add(1)) - 1
-					if j >= len(ids) {
-						return
-					}
-					decode(j)
-				}
-			}()
-		}
-		wg.Wait()
+	type decoded struct {
+		data []byte
+		err  error
 	}
 	pages := make(map[int][]byte, len(ids))
-	for j, id := range ids {
-		if errs[j] != nil {
-			// Lowest page wins so the surfaced error is deterministic
-			// regardless of worker interleaving.
-			return nil, fmt.Errorf("multilevel: peer tier %s epoch %d page %d: %w", t.name, epoch, id, errs[j])
+	var err error
+	sim.Ordered(sim.NewRealEnv(), "peer-decode", len(ids), 0, func(j int) decoded {
+		data, err := t.coder.Decode(sets[j], meta.sizes[ids[j]])
+		return decoded{data, err}
+	}, func(j int, d decoded) bool {
+		if d.err != nil {
+			err = fmt.Errorf("multilevel: peer tier %s epoch %d page %d: %w", t.name, epoch, ids[j], d.err)
+			return false
 		}
-		pages[id] = out[j]
+		pages[ids[j]] = d.data
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Page size is not stored per epoch on the peers; infer it from the
 	// largest page (pages are full-sized except possibly compressed ones,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // RestoreStep records where one epoch was read from during a tier-aware
@@ -24,19 +25,17 @@ type RestoreStep struct {
 
 // RestoreOptions tunes RestoreWith.
 type RestoreOptions struct {
-	// Workers is the number of concurrent epoch loaders. Each loader
-	// probes the tiers fastest-first for one epoch (exactly the serial
-	// probe order), so tier loads for *different* epochs overlap — epoch
-	// N+1's probe/load runs while epoch N folds — while the fold itself
-	// stays in strict chain order. The image, the per-epoch RestoreSteps
-	// and the SpanRestore sources are identical to a serial restore; only
-	// the wall (or virtual) time shrinks. 0 or 1 restores serially.
+	// Workers is the number of concurrent epoch loaders (0 picks
+	// sim.DefaultWorkers()). Each loader probes the tiers fastest-first
+	// for one epoch, so tier loads for *different* epochs overlap while
+	// the fold stays in strict chain order: the image, the per-epoch
+	// RestoreSteps and the SpanRestore sources do not depend on the
+	// width; only the wall (or virtual) time does.
 	Workers int
 }
 
 // epochLoad is one loader's result for one epoch, handed to the folder.
 type epochLoad struct {
-	done       bool
 	ep         *EpochData
 	from       string
 	level      int8
@@ -57,10 +56,11 @@ type epochLoad struct {
 // point is the last epoch of the intact prefix. The returned steps
 // document the per-epoch source.
 //
-// Restore is serial (one epoch in flight at a time); RestoreWith overlaps
-// tier loads across epochs.
+// Restore loads one epoch at a time, so under virtual time the restore
+// spans tile the restore interval exactly; RestoreWith overlaps tier loads
+// across epochs.
 func (h *Hierarchy) Restore() (*ckpt.Image, []RestoreStep, error) {
-	return h.RestoreWith(RestoreOptions{})
+	return h.RestoreWith(RestoreOptions{Workers: 1})
 }
 
 // RestoreWith is Restore with explicit options.
@@ -72,10 +72,7 @@ func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep,
 	// Try the local tier's compacted base first.
 	var skipTo uint64
 	if ch, err := ckpt.LoadChain(h.local.FS()); err == nil && ch.Base != nil {
-		var bstart time.Duration
-		if h.obs != nil {
-			bstart = h.obs.Now()
-		}
+		bstart := h.obs.Now()
 		if pages, err := ckpt.ReadBasePages(h.local.FS(), *ch.Base); err == nil {
 			for id, data := range pages {
 				im.Pages[id] = data
@@ -84,13 +81,13 @@ func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep,
 			im.Epoch = skipTo
 			im.SegmentsRead++
 			folded++
+			bend := h.obs.Now()
 			if h.obs != nil {
-				bend := h.obs.Now()
 				h.obs.RestoreEpochs.Inc()
 				h.obs.RestorePages.Add(uint64(len(pages)))
-				h.obs.TraceAt(bend, obs.StageRestore, skipTo, -1, 0, int64(len(pages)))
-				h.obs.Span(obs.SpanRestore, skipTo, 0, bstart, bend)
 			}
+			h.obs.TraceAt(bend, obs.StageRestore, skipTo, -1, 0, int64(len(pages)))
+			h.obs.Span(obs.SpanRestore, skipTo, 0, bstart, bend)
 			steps = append(steps, RestoreStep{
 				Epoch: skipTo,
 				Tier:  h.local.Name(),
@@ -128,15 +125,15 @@ func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep,
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 
-	workers := opt.Workers
-	if workers > len(epochs) {
-		workers = len(epochs)
-	}
-	if workers > 1 {
-		steps, folded = h.restorePipelined(im, tiers, epochs, steps, folded, workers)
-	} else {
-		steps, folded = h.restoreSerial(im, tiers, epochs, steps, folded)
-	}
+	sim.Ordered(h.env, "restore", len(epochs), opt.Workers, func(i int) epochLoad {
+		return h.loadEpoch(tiers, epochs[i])
+	}, func(i int, r epochLoad) bool {
+		if !h.foldEpoch(im, epochs[i], r, &steps) {
+			return false
+		}
+		folded++
+		return true
+	})
 	if folded == 0 {
 		return nil, steps, fmt.Errorf("multilevel: epoch %d unrecoverable on every tier", epochs[0])
 	}
@@ -147,10 +144,7 @@ func (h *Hierarchy) RestoreWith(opt RestoreOptions) (*ckpt.Image, []RestoreStep,
 // probe sequence: a failed probe of a faster tier is real restore latency
 // and belongs to the epoch's span.
 func (h *Hierarchy) loadEpoch(tiers []Tier, epoch uint64) epochLoad {
-	var r epochLoad
-	if h.obs != nil {
-		r.start = h.obs.Now()
-	}
+	r := epochLoad{start: h.obs.Now()}
 	for li, t := range tiers {
 		loaded, err := t.Load(epoch)
 		if err != nil {
@@ -160,9 +154,7 @@ func (h *Hierarchy) loadEpoch(tiers []Tier, epoch uint64) epochLoad {
 		r.ep, r.from, r.level = loaded, t.Name(), int8(li)
 		break
 	}
-	if h.obs != nil {
-		r.end = h.obs.Now()
-	}
+	r.end = h.obs.Now()
 	return r
 }
 
@@ -182,86 +174,13 @@ func (h *Hierarchy) foldEpoch(im *ckpt.Image, epoch uint64, r epochLoad, steps *
 	if h.obs != nil {
 		h.obs.RestoreEpochs.Inc()
 		h.obs.RestorePages.Add(uint64(len(r.ep.Pages)))
-		h.obs.TraceAt(r.end, obs.StageRestore, epoch, -1, r.level, int64(len(r.ep.Pages)))
-		// The restore span's tier is the level that finally served the
-		// epoch; its duration includes the failed probes of the faster
-		// tiers above it — that lost time is real restore latency and
-		// belongs to this epoch.
-		h.obs.Span(obs.SpanRestore, epoch, r.level, r.start, r.end)
 	}
+	h.obs.TraceAt(r.end, obs.StageRestore, epoch, -1, r.level, int64(len(r.ep.Pages)))
+	// The restore span's tier is the level that finally served the epoch;
+	// its duration includes the failed probes of the faster tiers above
+	// it — that lost time is real restore latency and belongs to this
+	// epoch.
+	h.obs.Span(obs.SpanRestore, epoch, r.level, r.start, r.end)
 	*steps = append(*steps, RestoreStep{Epoch: epoch, Tier: r.from, Detail: strings.Join(r.fallbacks, "; ")})
 	return true
-}
-
-// restoreSerial loads and folds one epoch at a time — the historical
-// restore: span N+1 starts exactly where span N ended.
-func (h *Hierarchy) restoreSerial(im *ckpt.Image, tiers []Tier, epochs []uint64, steps []RestoreStep, folded int) ([]RestoreStep, int) {
-	for _, epoch := range epochs {
-		if !h.foldEpoch(im, epoch, h.loadEpoch(tiers, epoch), &steps) {
-			break
-		}
-		folded++
-	}
-	return steps, folded
-}
-
-// restorePipelined overlaps tier probe/loads across epochs: a pool of
-// loader processes claims epochs in chain order and loads them
-// concurrently (each with the serial fastest-tier-first probe order) while
-// this process folds finished epochs strictly in chain order. Loaders run
-// on h.env processes, so under the virtual-time kernel concurrent tier
-// transfers contend for the same simulated links a real parallel restore
-// would. On an unrecoverable epoch the fold stops at the intact prefix,
-// in-flight loads beyond it are discarded, and the loaders drain before
-// returning.
-func (h *Hierarchy) restorePipelined(im *ckpt.Image, tiers []Tier, epochs []uint64, steps []RestoreStep, folded int, workers int) ([]RestoreStep, int) {
-	mu := h.env.NewMutex()
-	cond := h.env.NewCond(mu)
-	loads := make([]epochLoad, len(epochs))
-	next := 0
-	active := workers
-	worker := func() {
-		for {
-			mu.Lock()
-			i := next
-			if i >= len(epochs) {
-				active--
-				cond.Broadcast()
-				mu.Unlock()
-				return
-			}
-			next++
-			mu.Unlock()
-			r := h.loadEpoch(tiers, epochs[i])
-			mu.Lock()
-			r.done = true
-			loads[i] = r
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-	for w := 0; w < workers; w++ {
-		h.env.Go(fmt.Sprintf("restore-%d", w), worker)
-	}
-	for i, epoch := range epochs {
-		mu.Lock()
-		for !loads[i].done {
-			cond.Wait()
-		}
-		r := loads[i]
-		mu.Unlock()
-		if !h.foldEpoch(im, epoch, r, &steps) {
-			mu.Lock()
-			next = len(epochs) // cancel unclaimed epochs past the break
-			mu.Unlock()
-			break
-		}
-		folded++
-	}
-	mu.Lock()
-	for active > 0 {
-		cond.Wait()
-	}
-	mu.Unlock()
-	return steps, folded
 }

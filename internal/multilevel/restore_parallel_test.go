@@ -33,45 +33,62 @@ func sealChain(t *testing.T, h *Hierarchy, n int) {
 	}
 }
 
-// compareRestores asserts a serial and a pipelined restore agreed bit for
-// bit: same pages, same restart epoch, same segment count, same per-epoch
-// steps, same error text.
-func compareRestores(t *testing.T, label string,
-	serIm *ckpt.Image, serSteps []RestoreStep, serErr error,
-	parIm *ckpt.Image, parSteps []RestoreStep, parErr error) {
+// checkChainImage asserts im holds exactly what sealChain wrote through
+// epoch last: that restart epoch, and for every page the content of its
+// newest writer. The oracle is the writer itself, independent of the
+// restore path under test.
+func checkChainImage(t *testing.T, label string, im *ckpt.Image, last int) {
 	t.Helper()
-	if (serErr == nil) != (parErr == nil) || (serErr != nil && serErr.Error() != parErr.Error()) {
-		t.Fatalf("%s: error mismatch: serial=%v parallel=%v", label, serErr, parErr)
+	if im.Epoch != uint64(last) {
+		t.Fatalf("%s: restart epoch = %d, want %d", label, im.Epoch, last)
 	}
-	if !reflect.DeepEqual(serSteps, parSteps) {
-		t.Fatalf("%s: steps mismatch:\nserial:   %+v\nparallel: %+v", label, serSteps, parSteps)
+	want := 0
+	for p := 0; p < 20; p++ {
+		e := newestWriter(p, last)
+		if e == 0 {
+			continue
+		}
+		want++
+		if !bytes.Equal(im.Pages[p], pageFill(p, e)) {
+			t.Fatalf("%s: page %d differs from epoch %d's write", label, p, e)
+		}
 	}
-	if serErr != nil {
-		return
+	if len(im.Pages) != want {
+		t.Fatalf("%s: %d pages restored, want %d", label, len(im.Pages), want)
 	}
-	if serIm.Epoch != parIm.Epoch || serIm.SegmentsRead != parIm.SegmentsRead {
-		t.Fatalf("%s: epoch/segments mismatch: serial epoch=%d segs=%d, parallel epoch=%d segs=%d",
-			label, serIm.Epoch, serIm.SegmentsRead, parIm.Epoch, parIm.SegmentsRead)
+}
+
+// checkSteps asserts one step per epoch 1..len(steps), each served by tier
+// (an empty tier marks the unrecoverable epoch that ends the chain).
+func checkSteps(t *testing.T, label string, steps []RestoreStep, tiers ...string) {
+	t.Helper()
+	if len(steps) != len(tiers) {
+		t.Fatalf("%s: %d steps, want %d: %+v", label, len(steps), len(tiers), steps)
 	}
-	if len(serIm.Pages) != len(parIm.Pages) {
-		t.Fatalf("%s: page count mismatch: serial=%d parallel=%d", label, len(serIm.Pages), len(parIm.Pages))
-	}
-	for id, want := range serIm.Pages {
-		if got, ok := parIm.Pages[id]; !ok || !bytes.Equal(got, want) {
-			t.Fatalf("%s: page %d differs between serial and parallel restore", label, id)
+	for i, st := range steps {
+		if st.Epoch != uint64(i+1) || st.Tier != tiers[i] {
+			t.Fatalf("%s: step %d = %+v, want epoch %d from %q", label, i, st, i+1, tiers[i])
 		}
 	}
 }
 
+// repeat returns n copies of s.
+func repeat(s string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = s
+	}
+	return out
+}
+
 // TestRestorePipelinedMatchesSerial seals a wide chain under the
-// virtual-time kernel and compares a serial restore against pipelined
-// restores at several worker counts, in three damage states: intact
-// (everything served by L1), L1 wiped (erasure reconstruction from the
-// peers), and L1 wiped plus one failed peer node (degraded
-// reconstruction). Every variant must produce a bit-identical image and
-// identical per-epoch steps. The hierarchy carries no Metrics, so this is
-// also the nil-obs regression test for the pipelined path: loaders and
-// folder must run with h.obs == nil without touching it.
+// virtual-time kernel and restores it at several loader counts in three
+// damage states: intact (everything served by L1), L1 wiped (erasure
+// reconstruction from the peers), and L1 wiped plus one failed peer node
+// (degraded reconstruction). Every width must restore exactly the content
+// written, with the expected per-epoch sources, and every width must
+// report identical steps. The hierarchy carries no Metrics, so this is
+// also the nil-obs regression test for the restore path.
 func TestRestorePipelinedMatchesSerial(t *testing.T) {
 	const epochs = 10
 	k := sim.NewKernel()
@@ -83,36 +100,42 @@ func TestRestorePipelinedMatchesSerial(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 
-		check := func(label string) {
-			serIm, serSteps, serErr := h.RestoreWith(RestoreOptions{Workers: 1})
-			for _, workers := range []int{2, 4, 8} {
-				parIm, parSteps, parErr := h.RestoreWith(RestoreOptions{Workers: workers})
-				compareRestores(t, fmt.Sprintf("%s/workers=%d", label, workers),
-					serIm, serSteps, serErr, parIm, parSteps, parErr)
-			}
-			if serErr == nil && serIm.Epoch != epochs {
-				t.Fatalf("%s: restart epoch = %d, want %d", label, serIm.Epoch, epochs)
+		check := func(label, tier string) {
+			var first []RestoreStep
+			for _, workers := range []int{1, 2, 4, 8} {
+				l := fmt.Sprintf("%s/workers=%d", label, workers)
+				im, steps, err := h.RestoreWith(RestoreOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", l, err)
+				}
+				checkChainImage(t, l, im, epochs)
+				checkSteps(t, l, steps, repeat(tier, epochs)...)
+				if first == nil {
+					first = steps
+				} else if !reflect.DeepEqual(first, steps) {
+					t.Fatalf("%s: steps differ across widths:\n%+v\n%+v", l, first, steps)
+				}
 			}
 		}
 
-		check("intact")
+		check("intact", "local")
 		if err := h.Local().Wipe(); err != nil {
 			t.Fatal(err)
 		}
-		check("l1-wiped")
+		check("l1-wiped", "peer")
 		peer.Nodes()[1].Fail()
-		check("l1-wiped+peer-degraded")
+		check("l1-wiped+peer-degraded", "peer")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRestorePipelinedSpansMatchSerial runs the pipelined restore with a
+// TestRestorePipelinedSpansMatchSerial runs a 4-loader restore with a
 // flight recorder attached: it must emit exactly one restore span per
-// epoch with the same epoch→tier attribution as the serial restore's
-// steps. Span *timestamps* may interleave (loads overlap by design), but
-// attribution is part of the restore contract and must not change.
+// epoch, attributed to the tier its step names. Span *timestamps* may
+// interleave (loads overlap by design), but attribution is part of the
+// restore contract and must not depend on the width.
 func TestRestorePipelinedSpansMatchSerial(t *testing.T) {
 	k := sim.NewKernel()
 	met := obs.New(k.Now)
@@ -127,18 +150,12 @@ func TestRestorePipelinedSpansMatchSerial(t *testing.T) {
 		if err := h.Local().Wipe(); err != nil {
 			t.Fatal(err)
 		}
-		_, steps, err := h.RestoreWith(RestoreOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("serial restore: %v", err)
-		}
 		before := len(met.Spans.Snapshot())
-		im, psteps, err := h.RestoreWith(RestoreOptions{Workers: 4})
+		im, steps, err := h.RestoreWith(RestoreOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("pipelined restore: %v", err)
 		}
-		if !reflect.DeepEqual(steps, psteps) {
-			t.Fatalf("steps mismatch:\nserial:    %+v\npipelined: %+v", steps, psteps)
-		}
+		checkSteps(t, "pipelined", steps, repeat("peer", 8)...)
 		byEpoch := map[uint64]obs.Span{}
 		for _, s := range met.Spans.Snapshot()[before:] {
 			if s.Kind == obs.SpanRestore {
@@ -160,9 +177,7 @@ func TestRestorePipelinedSpansMatchSerial(t *testing.T) {
 				t.Errorf("epoch %d span has negative duration", st.Epoch)
 			}
 		}
-		if im.Epoch != 8 {
-			t.Fatalf("restart epoch = %d, want 8", im.Epoch)
-		}
+		checkChainImage(t, "pipelined", im, 8)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -184,10 +199,9 @@ func (c *cutoffTier) Load(epoch uint64) (*EpochData, error) {
 }
 
 // TestRestorePipelinedStopsAtIntactPrefix breaks the chain mid-way (L1
-// wiped, the only lower tier lost epochs >= 5): serial and pipelined
-// restores must both fold exactly the intact prefix 1..4, report the same
-// unrecoverable step for epoch 5, and discard in-flight loads past the
-// break without folding them.
+// wiped, the only lower tier lost epochs >= 5): every width must fold
+// exactly the intact prefix 1..4, report epoch 5 as the unrecoverable last
+// step, and discard in-flight loads past the break without folding them.
 func TestRestorePipelinedStopsAtIntactPrefix(t *testing.T) {
 	env := sim.NewRealEnv()
 	local := NewLocalTier(env, "local", &ckpt.MemFS{}, pageSize, nil)
@@ -208,21 +222,14 @@ func TestRestorePipelinedStopsAtIntactPrefix(t *testing.T) {
 	if err := local.Wipe(); err != nil {
 		t.Fatal(err)
 	}
-	serIm, serSteps, serErr := h.RestoreWith(RestoreOptions{Workers: 1})
-	if serErr != nil {
-		t.Fatalf("serial restore: %v", serErr)
-	}
-	if serIm.Epoch != 4 {
-		t.Fatalf("serial restart epoch = %d, want 4 (intact prefix)", serIm.Epoch)
-	}
-	last := serSteps[len(serSteps)-1]
-	if last.Tier != "" || last.Epoch != 5 {
-		t.Fatalf("last serial step = %+v, want unrecoverable epoch 5", last)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		parIm, parSteps, parErr := h.RestoreWith(RestoreOptions{Workers: workers})
-		compareRestores(t, fmt.Sprintf("prefix/workers=%d", workers),
-			serIm, serSteps, serErr, parIm, parSteps, parErr)
+	for _, workers := range []int{1, 2, 4, 8} {
+		label := fmt.Sprintf("prefix/workers=%d", workers)
+		im, steps, err := h.RestoreWith(RestoreOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkChainImage(t, label, im, 4)
+		checkSteps(t, label, steps, "lower", "lower", "lower", "lower", "")
 	}
 }
 

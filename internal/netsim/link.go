@@ -46,8 +46,8 @@ type Link struct {
 
 	down bool //aickpt:guardedby mu (failure-injection state: link unreachable)
 
-	// stats, guarded by mu
-	messages  int64
+	// stats
+	messages  int64         //aickpt:guardedby mu
 	bytes     int64         //aickpt:guardedby mu
 	busyTime  time.Duration //aickpt:guardedby mu
 	queueTime time.Duration //aickpt:guardedby mu

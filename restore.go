@@ -42,19 +42,14 @@ func (im *Image) PageIDs() []int {
 // Restore reads the checkpoint repository in dir and folds all sealed
 // epochs into a memory image. Epochs interrupted by a crash before sealing
 // are ignored: the restart point is the last completed checkpoint.
-// Segments are parsed by min(GOMAXPROCS, 8) concurrent readers and folded
-// in chain order, so the image is bit-identical to a serial restore; use
-// RestoreWorkers to pin the worker count (1 = serial).
-func Restore(dir string) (*Image, error) { return RestoreWorkers(dir, 0) }
-
-// RestoreWorkers is Restore with an explicit segment-reader count:
-// 1 restores serially, 0 picks min(GOMAXPROCS, 8).
-func RestoreWorkers(dir string, workers int) (*Image, error) {
+// Segments are parsed by one reader per core (up to 8) and folded in
+// chain order, newest content winning.
+func Restore(dir string) (*Image, error) {
 	fs, err := ckpt.NewOSFS(dir)
 	if err != nil {
 		return nil, err
 	}
-	im, err := ckpt.RestoreWith(fs, ckpt.RestoreOptions{Workers: workers})
+	im, err := ckpt.Restore(fs)
 	if err != nil {
 		return nil, err
 	}
