@@ -6,8 +6,6 @@ import (
 	"fmt"
 	iofs "io/fs"
 	"strings"
-
-	"repro/internal/util"
 )
 
 // Format v2 extends the v1 manifest with per-page content hashes (enabling
@@ -66,11 +64,6 @@ func manifestFile(m Manifest) string {
 	}
 	return manifestName(m.Epoch)
 }
-
-// contentHash is the FNV-64a hash of raw page content, computed inline:
-// the commit path hashes every page and must not allocate a hasher per
-// page. Bit-identical to the hash/fnv-based implementation it replaces.
-func contentHash(data []byte) uint64 { return util.Fnv64a(data) }
 
 // Chain is the logical state of a repository: the newest committed base (if
 // any), the live epochs after it, and the garbage left behind by earlier
@@ -362,7 +355,7 @@ func WriteBase(fs FS, from, to uint64, pageSize int, pages map[int][]byte, codec
 		return Manifest{}, err
 	}
 	for _, id := range sortedPageIDs(pages) {
-		if err := w.writeRecord(&man, id, pages[id], contentHash(pages[id])); err != nil {
+		if err := w.writePage(&man, id, pages[id]); err != nil {
 			Discard(f)
 			return Manifest{}, fmt.Errorf("ckpt: base page %d: %w", id, err)
 		}

@@ -98,23 +98,25 @@ func (w *segmentWriter) begin(f io.WriteCloser) error {
 	return nil
 }
 
-// writeRecord encodes one page record (applying the codec) and updates the
-// manifest. rawHash is the FNV-64a hash of data before encoding.
-func (w *segmentWriter) writeRecord(man *Manifest, page int, data []byte, rawHash uint64) error {
-	if compress.Codec(w.codec) != compress.None {
-		data = compress.Encode(compress.Codec(w.codec), data)
-	}
-	return w.writeEncoded(man, page, data, rawHash)
+// writePage hashes, encodes and appends one page record under the
+// writer's codec: WritePage's hash → encode → append pipeline in one call,
+// for the compaction base writer and the scrub rewrite.
+func (w *segmentWriter) writePage(man *Manifest, page int, data []byte) error {
+	raw, framed := util.Fnv64aPair(data)
+	payload, sum, _ := encodeRecord(compress.Codec(w.codec), data, nil, raw, framed)
+	return w.writeEncoded(man, page, payload, raw, sum)
 }
 
 // writeEncoded appends one record whose payload is already codec-encoded
-// (or verbatim for codec None) and updates the manifest bookkeeping.
-func (w *segmentWriter) writeEncoded(man *Manifest, page int, payload []byte, rawHash uint64) error {
+// (or verbatim for codec None) and updates the manifest bookkeeping. sum
+// is the record checksum, FNV-64a of payload, computed by encodeRecord
+// off the segment writer's lock.
+func (w *segmentWriter) writeEncoded(man *Manifest, page int, payload []byte, rawHash, sum uint64) error {
 	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], recordMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(page))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[12:], util.Fnv64a(payload))
+	binary.LittleEndian.PutUint64(hdr[12:], sum)
 	if _, err := w.buf.Write(hdr[:]); err != nil {
 		return fmt.Errorf("write header: %w", err)
 	}
@@ -128,6 +130,26 @@ func (w *segmentWriter) writeEncoded(man *Manifest, page int, payload []byte, ra
 	return nil
 }
 
+// encodeRecord builds the record payload of one page under codec, into
+// dst's backing array, and returns it with its checksum and whether the
+// codec skipped DEFLATE (compress.EncodeInto). raw and framed are
+// util.Fnv64aPair(data): the content hash, which is the checksum of a
+// codec-None record, and the checksum of the verbatim record 0x00‖data
+// that codecs Zero and Flate emit for a page they cannot shrink. Only a
+// compressed payload, a fraction of the page, is hashed again.
+//
+//aickpt:hotpath
+func encodeRecord(codec compress.Codec, data, dst []byte, raw, framed uint64) (payload []byte, sum uint64, skipped bool) {
+	if codec == compress.None {
+		return data, raw, false
+	}
+	payload, skipped = compress.EncodeInto(codec, data, dst)
+	if compress.Codec(payload[0]) == compress.None {
+		return payload, framed, skipped
+	}
+	return payload, util.Fnv64a(payload), skipped
+}
+
 // payloadPool recycles encode-output and staging-copy buffers across pages
 // and epochs: every page flushed used to allocate a fresh buffer that died
 // milliseconds later. Buffers are returned once their record reaches the
@@ -139,6 +161,7 @@ type recordJob struct {
 	page    int
 	payload []byte // codec-encoded, owned by the job
 	rawHash uint64
+	sum     uint64  // record checksum: FNV-64a of payload
 	buf     *[]byte // pooled backing buffer to release after the write, or nil
 }
 
@@ -201,7 +224,7 @@ func (s *epochStage) submit(j recordJob, borrowed bool) error {
 	s.mu.Lock()
 	if len(s.queue) == 0 && s.err == nil && s.writeMu.TryLock() {
 		s.mu.Unlock()
-		err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash)
+		err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash, j.sum)
 		s.writeMu.Unlock()
 		j.release()
 		if err != nil {
@@ -259,7 +282,7 @@ func (s *epochStage) run() {
 		for i := range batch {
 			j := &batch[i]
 			if !failed { // keep draining past an error; it decides the epoch
-				if err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash); err != nil {
+				if err := s.w.writeEncoded(s.man, j.page, j.payload, j.rawHash, j.sum); err != nil {
 					s.fail(err)
 					failed = true
 				}
@@ -611,8 +634,9 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 		wstart = r.obs.Now()
 	}
 	// Hash off-lock: with several committer workers this is the hottest
-	// per-page step after the codec.
-	rawHash := contentHash(data)
+	// per-page step after the codec. The one pass also yields the checksum
+	// of a verbatim record, so the segment writer hashes nothing.
+	rawHash, framedHash := util.Fnv64aPair(data)
 	r.mu.Lock()
 	if r.curOpen && r.curMan.Epoch != epoch {
 		r.mu.Unlock()
@@ -695,22 +719,25 @@ func (r *Repository) WritePage(epoch uint64, page int, data []byte, size int) er
 	// the stage copies it; the synchronous fast path writes it copy-free.
 	// Codec output goes into a pooled buffer released once the record
 	// reaches the segment, so steady-state encoding allocates nothing.
-	job := recordJob{page: page, payload: data, rawHash: rawHash}
-	borrowed := true
+	job := recordJob{page: page, rawHash: rawHash}
+	var dst []byte
 	if codec != compress.None {
 		buf := payloadPool.Get().(*[]byte) //aickpt:owns handed to the staged job; recordJob.release returns it
-		job.payload = compress.EncodeInto(codec, data, *buf)
-		job.buf = buf
-		borrowed = false
+		job.buf, dst = buf, *buf
 	}
+	var skipped bool
+	job.payload, job.sum, skipped = encodeRecord(codec, data, dst, rawHash, framedHash)
 	coded := len(job.payload)
-	if err := stage.submit(job, borrowed); err != nil {
+	if err := stage.submit(job, job.buf == nil); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	if r.obs != nil {
 		r.obs.DedupMisses.Inc()
 		r.obs.RecordRawBytes.Add(uint64(size))
 		r.obs.RecordCodedBytes.Add(uint64(coded))
+		if skipped {
+			r.obs.RecordIncompressible.Inc()
+		}
 		if sampled {
 			wend := r.obs.Now()
 			r.obs.RecordWriteNs.Observe(int64(wend - wstart))

@@ -2,10 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/compress"
+	"repro/internal/obs"
 	"repro/internal/util"
 )
 
@@ -321,4 +325,98 @@ func TestSetCodecWhileOpenPanics(t *testing.T) {
 		}
 	}()
 	r.SetCodec(compress.Flate)
+}
+
+// recordSums walks a segment's records and returns each payload's codec
+// byte, failing the test on any record whose header hash is not FNV-64a of
+// its payload.
+func recordSums(t *testing.T, fs *MemFS, name string, codec compress.Codec) []compress.Codec {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seg, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []compress.Codec
+	for len(seg) > 0 {
+		if len(seg) < 20 || binary.LittleEndian.Uint32(seg) != recordMagic {
+			t.Fatalf("%s: malformed record header", name)
+		}
+		size := int(binary.LittleEndian.Uint32(seg[8:]))
+		sum := binary.LittleEndian.Uint64(seg[12:])
+		payload := seg[20 : 20+size]
+		if got := util.Fnv64a(payload); got != sum {
+			t.Fatalf("%s: page %d header hash %#x, FNV-64a of payload %#x", name, binary.LittleEndian.Uint32(seg[4:]), sum, got)
+		}
+		kind := compress.None
+		if codec != compress.None {
+			kind = compress.Codec(payload[0])
+		}
+		kinds = append(kinds, kind)
+		seg = seg[20+size:]
+	}
+	return kinds
+}
+
+// TestRecordChecksumMatchesPayload pins the record checksum, now computed
+// before the record reaches the segment writer, to FNV-64a of the stored
+// payload for every codec and record kind — zero pages, DEFLATE output and
+// the verbatim fallback (taken with and without the probe) — on the commit
+// path, the compaction base writer and the scrub rewrite.
+func TestRecordChecksumMatchesPayload(t *testing.T) {
+	const size = 4096
+	rng := util.NewRNG(21)
+	noise := make([]byte, size)
+	for i := range noise {
+		noise[i] = byte(rng.Uint64())
+	}
+	zeroRun := append([]byte(nil), noise...) // DEFLATE runs, then falls back
+	clear(zeroRun[:size/16])
+	smooth := make([]byte, size)
+	for i := range smooth {
+		smooth[i] = byte(i / 64)
+	}
+	pages := map[int][]byte{0: make([]byte, size), 1: noise, 2: zeroRun, 3: smooth}
+	for _, codec := range []compress.Codec{compress.None, compress.Zero, compress.Flate} {
+		fs := &MemFS{}
+		r := NewRepository(fs, size)
+		r.SetCodec(codec)
+		met := obs.New(nil)
+		r.SetMetrics(met)
+		for _, id := range sortedPageIDs(pages) {
+			if err := r.WritePage(1, id, pages[id], size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.EndEpoch(1); err != nil {
+			t.Fatal(err)
+		}
+		kinds := recordSums(t, fs, segmentName(1), codec)
+		if codec == compress.Flate {
+			want := []compress.Codec{compress.Zero, compress.None, compress.None, compress.Flate}
+			if !slices.Equal(kinds, want) {
+				t.Fatalf("flate record codecs %v, want %v", kinds, want)
+			}
+		}
+		wantSkipped := uint64(0)
+		if codec == compress.Flate {
+			wantSkipped = 1 // the noise page; the zero-run page runs DEFLATE
+		}
+		if got := met.RecordIncompressible.Load(); got != wantSkipped {
+			t.Errorf("codec %d: RecordIncompressible = %d, want %d", codec, got, wantSkipped)
+		}
+		m, err := WriteBase(fs, 1, 1, size, pages, uint8(codec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordSums(t, fs, segmentFile(m), codec)
+		if _, err := RewriteEpoch(fs, 1, size, pages, nil); err != nil {
+			t.Fatal(err)
+		}
+		recordSums(t, fs, segmentName(1), compress.None)
+	}
 }

@@ -162,7 +162,7 @@ func RewriteEpoch(fs FS, epoch uint64, pageSize int, pages map[int][]byte, refs 
 			return Manifest{}, err
 		}
 		for _, id := range sortedPageIDs(pages) {
-			if err := w.writeRecord(&man, id, pages[id], contentHash(pages[id])); err != nil {
+			if err := w.writePage(&man, id, pages[id]); err != nil {
 				Discard(f)
 				return Manifest{}, fmt.Errorf("ckpt: rewrite epoch %d page %d: %w", epoch, id, err)
 			}

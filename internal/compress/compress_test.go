@@ -2,6 +2,8 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -94,7 +96,7 @@ func TestIntoRoundTripQuick(t *testing.T) {
 	dec := make([]byte, 0, 64<<10)
 	f := func(page []byte, c uint8) bool {
 		codec := Codec(c % 3)
-		blob := EncodeInto(codec, page, enc)
+		blob, _ := EncodeInto(codec, page, enc)
 		if ref := Encode(codec, page); !bytes.Equal(blob, ref) {
 			return false
 		}
@@ -138,22 +140,28 @@ func TestDecodeRejectsTruncatedFlate(t *testing.T) {
 
 // Allocation gates for the steady-state encode/decode paths: with warm
 // pools and caller-supplied buffers, zero and incompressible pages must
-// encode and decode without allocating. (Compressible flate decode output
-// is also covered: the pooled reader state dominates there.)
+// encode and decode without allocating — both the page the probe takes
+// and one it hands to DEFLATE, which then falls back to verbatim.
+// (Compressible flate decode output is also covered: the pooled reader
+// state dominates there.)
 func TestAllocGateEncodeDecode(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("race mode bypasses sync.Pool; allocation gates do not apply")
 	}
 	zero := make([]byte, 4096)
-	r := util.NewRNG(3)
-	incompressible := make([]byte, 4096)
-	for i := range incompressible {
-		incompressible[i] = byte(r.Uint64())
-	}
+	incompressible := noisePage(3, 4096)
+	fallback := noisePage(4, 4096)
+	clear(fallback[:len(fallback)/16]) // a zero run the probe will not vouch for
 	buf := make([]byte, 0, 4096+128)
 	dec := make([]byte, 0, 4096)
 	zeroBlob := Encode(Flate, zero)
 	rawBlob := Encode(Flate, incompressible)
+	if _, skipped := EncodeInto(Flate, incompressible, buf); !skipped {
+		t.Fatal("the incompressible page did not take the probe")
+	}
+	if out, skipped := EncodeInto(Flate, fallback, buf); skipped || Codec(out[0]) != None {
+		t.Fatalf("the fallback page skipped=%v codec %d, want DEFLATE then verbatim", skipped, out[0])
+	}
 
 	// Warm the codec pools before measuring.
 	EncodeInto(Flate, incompressible, buf)
@@ -163,6 +171,7 @@ func TestAllocGateEncodeDecode(t *testing.T) {
 	}{
 		{"encode-zero", func() { EncodeInto(Flate, zero, buf) }},
 		{"encode-incompressible", func() { EncodeInto(Flate, incompressible, buf) }},
+		{"encode-deflate-fallback", func() { EncodeInto(Flate, fallback, buf) }},
 		{"decode-zero", func() {
 			if _, err := DecodeInto(zeroBlob, dec, 4096); err != nil {
 				t.Fatal(err)
@@ -180,3 +189,54 @@ func TestAllocGateEncodeDecode(t *testing.T) {
 		}
 	}
 }
+
+// smoothPage is a stencil-like field of small dyadic float64 values whose
+// encodings share most bytes with their neighbours: DEFLATE's good case.
+func smoothPage() []byte {
+	page := make([]byte, 4096)
+	for k := 0; k < len(page)/8; k++ {
+		binary.LittleEndian.PutUint64(page[8*k:], math.Float64bits(float64((k+17)&1023)*0.25))
+	}
+	return page
+}
+
+// noisePage is n seeded random bytes: the probe's target.
+func noisePage(seed uint64, n int) []byte {
+	r := util.NewRNG(seed)
+	page := make([]byte, n)
+	for i := range page {
+		page[i] = byte(r.Uint64())
+	}
+	return page
+}
+
+// Package-level sinks keep the benchmarked calls live.
+var (
+	sinkBytes []byte
+	sinkBool  bool
+)
+
+func benchEncode(b *testing.B, page []byte) {
+	dst := make([]byte, 0, len(page)+128)
+	b.SetBytes(int64(len(page)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBytes, sinkBool = EncodeInto(Flate, page, dst)
+	}
+}
+
+func BenchmarkEncodeSmooth(b *testing.B) { benchEncode(b, smoothPage()) }
+func BenchmarkEncodeNoise(b *testing.B)  { benchEncode(b, noisePage(3, 4096)) }
+
+func benchProbe(b *testing.B, page []byte) {
+	e := encPool.Get().(*flateEncoder)
+	defer encPool.Put(e)
+	b.SetBytes(int64(len(page)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = e.incompressible(page)
+	}
+}
+
+func BenchmarkProbeSmooth(b *testing.B) { benchProbe(b, smoothPage()) }
+func BenchmarkProbeNoise(b *testing.B)  { benchProbe(b, noisePage(3, 4096)) }

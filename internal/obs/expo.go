@@ -38,6 +38,7 @@ func (m *Metrics) counterRefs() []counterRef {
 		{"aickpt_core_epochs_sealed_total", "", "epochs sealed by the committer", &m.EpochsSealed},
 		{"aickpt_ckpt_raw_bytes_total", "", "raw page bytes entering the repository", &m.RecordRawBytes},
 		{"aickpt_ckpt_encoded_bytes_total", "", "payload bytes after codec encoding", &m.RecordCodedBytes},
+		{"aickpt_ckpt_incompressible_pages_total", "", "flate pages stored verbatim without running DEFLATE", &m.RecordIncompressible},
 		{"aickpt_ckpt_dedup_hits_total", "", "page writes elided by dedup", &m.DedupHits},
 		{"aickpt_ckpt_dedup_misses_total", "", "page writes stored physically", &m.DedupMisses},
 		{"aickpt_ckpt_epochs_sealed_total", "", "repository epochs sealed", &m.EpochsSealedRepo},

@@ -117,9 +117,8 @@ type Event struct {
 }
 
 // journalSlot is one ring entry. Every word is accessed atomically so
-// record and Snapshot never race: seq is the seqlock (0 = empty or
-// being written; n+1 = event n complete), and readers validate seq
-// before and after reading the payload words.
+// record and Snapshot never race: seq is the slot's stamp (see claimSlot),
+// and readers validate it before and after reading the payload words.
 type journalSlot struct {
 	seq    atomic.Uint64
 	at     atomic.Int64
@@ -127,6 +126,38 @@ type journalSlot struct {
 	value  atomic.Int64
 	packed atomic.Uint64 // page(32) | tier(8) | stage(8)
 }
+
+// A ring slot's stamp names the event in it: 0 while empty, stampOf(n)
+// once event n is complete, stampOf(n)|slotWriting while the writer of
+// event n fills it. Stamps of one slot only ever grow.
+const slotWriting = 1
+
+func stampOf(seq uint64) uint64 { return (seq + 1) << 1 }
+
+// claimSlot takes a ring slot for the writer of event seq. The fetch-add
+// hands every writer its own seq, but once writers lap the ring, events
+// seq and seq+Cap share a slot; each writer must own the slot while it
+// fills the payload words, or a reader can see one writer's stamp over the
+// other's fields. The writer moves the stamp by CAS from a published,
+// older event to its own seq marked writing. A writer that finds a newer
+// event, or another writer mid-write, drops its event rather than wait:
+// the ring is a flight recorder and a lapped event is due to be
+// overwritten anyway.
+func claimSlot(stamp *atomic.Uint64, seq uint64) bool {
+	claim := stampOf(seq) | slotWriting
+	for {
+		old := stamp.Load()
+		if old&slotWriting != 0 || old >= claim {
+			return false
+		}
+		if stamp.CompareAndSwap(old, claim) {
+			return true
+		}
+	}
+}
+
+// stampSeq is the sequence number of the event a stamp names.
+func stampSeq(st uint64) uint64 { return st>>1 - 1 }
 
 func packEvent(stage Stage, page int32, tier int8) uint64 {
 	return uint64(uint32(page))<<32 | uint64(uint8(tier))<<8 | uint64(stage)
@@ -137,9 +168,10 @@ func unpackEvent(p uint64) (stage Stage, page int32, tier int8) {
 }
 
 // Journal is a bounded, lock-free ring buffer of pipeline events. Writers
-// claim a slot with one atomic fetch-add and publish it seqlock-style;
-// when the ring wraps, the oldest events are overwritten — the journal
-// is a flight recorder, not a log. Snapshot never blocks writers and
+// take a sequence number with one atomic fetch-add, claim its slot by CAS
+// on the slot's stamp and publish by stamping the slot complete; when the
+// ring wraps, the oldest events are overwritten — the journal is a flight
+// recorder, not a log. Snapshot never blocks writers and
 // writers never block each other, so tracing is safe on every hot path
 // and a scrape can never stall a Checkpoint.
 type Journal struct {
@@ -164,19 +196,21 @@ func NewJournal(depth int) *Journal {
 // Cap returns the ring capacity.
 func (j *Journal) Cap() int { return len(j.slots) }
 
-// record appends one event. Allocation-free: one fetch-add plus five
-// atomic stores.
+// record appends one event. Allocation-free: one fetch-add, one CAS
+// claim and five atomic stores.
 //
 //aickpt:hotpath
 func (j *Journal) record(at time.Duration, stage Stage, epoch uint64, page int32, tier int8, value int64) {
 	seq := j.next.Add(1) - 1
 	s := &j.slots[seq&j.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
+	if !claimSlot(&s.seq, seq) {
+		return
+	}
 	s.at.Store(int64(at))
 	s.epoch.Store(epoch)
 	s.value.Store(value)
 	s.packed.Store(packEvent(stage, page, tier))
-	s.seq.Store(seq + 1) // publish
+	s.seq.Store(stampOf(seq)) // publish
 }
 
 // Len returns the number of events currently retained (at most Cap).
@@ -191,26 +225,31 @@ func (j *Journal) Len() int {
 // Snapshot returns the retained events ordered by sequence number. It
 // takes no locks: slots caught mid-write (or overwritten while being
 // read) are skipped, so a snapshot under heavy tracing is a consistent
-// sample rather than a stall.
+// sample rather than a stall. An event is returned only if its slot's
+// stamp was the same complete event before and after its words were
+// read; as stamps only grow, no writer touched the words in between.
 func (j *Journal) Snapshot() []Event {
 	out := make([]Event, 0, len(j.slots))
 	for i := range j.slots {
 		s := &j.slots[i]
 		for attempt := 0; attempt < 2; attempt++ {
-			seq1 := s.seq.Load()
-			if seq1 == 0 {
+			st := s.seq.Load()
+			if st == 0 {
 				break
+			}
+			if st&slotWriting != 0 {
+				continue // mid-write; retry once
 			}
 			at := s.at.Load()
 			epoch := s.epoch.Load()
 			value := s.value.Load()
 			packed := s.packed.Load()
-			if s.seq.Load() != seq1 {
+			if s.seq.Load() != st {
 				continue // overwritten mid-read; retry once
 			}
 			stage, page, tier := unpackEvent(packed)
 			out = append(out, Event{
-				Seq: seq1 - 1, At: time.Duration(at), Stage: stage,
+				Seq: stampSeq(st), At: time.Duration(at), Stage: stage,
 				Epoch: epoch, Page: page, Tier: tier, Value: value,
 			})
 			break

@@ -244,11 +244,15 @@ type Metrics struct {
 	RecordWriteNs    Histogram // WritePage latency (incl. hash+encode+stage), sampled 1-in-8
 	RecordRawBytes   Counter   // raw page bytes entering the repository
 	RecordCodedBytes Counter   // payload bytes after codec encoding
-	DedupHits        Counter   // page writes elided by content-addressed dedup
-	DedupMisses      Counter   // page writes stored physically
-	StagingDepth     Gauge     // records staged ahead of the segment writer
-	EpochsSealedRepo Counter   // repository epochs sealed
-	ManifestWriteNs  Histogram // manifest encode+write latency at seal
+	// RecordIncompressible counts Flate pages stored verbatim without
+	// running DEFLATE: the codec's probe proved DEFLATE would not shrink
+	// them (byte-identical output, DEFLATE's CPU saved).
+	RecordIncompressible Counter
+	DedupHits            Counter   // page writes elided by content-addressed dedup
+	DedupMisses          Counter   // page writes stored physically
+	StagingDepth         Gauge     // records staged ahead of the segment writer
+	EpochsSealedRepo     Counter   // repository epochs sealed
+	ManifestWriteNs      Histogram // manifest encode+write latency at seal
 
 	// Multi-level hierarchy metrics (internal/multilevel).
 	DrainRetries    Counter             // failed Store attempts that will be retried

@@ -251,3 +251,68 @@ func TestTierAndWorkerIndex(t *testing.T) {
 		t.Fatal("WorkerIndex must fold ids into [0,MaxWorkers)")
 	}
 }
+
+// TestJournalLappedWritersShareNoSlot forces two writers onto one slot:
+// events n and n+Cap map to the same ring entry. Whichever writer claims
+// the slot first owns it until it publishes; the other drops its event, so
+// a snapshot taken at any point returns only whole events (every field of
+// an event here equals its sequence number).
+func TestJournalLappedWritersShareNoSlot(t *testing.T) {
+	whole := func(j *Journal) []Event {
+		t.Helper()
+		evs := j.Snapshot()
+		for _, e := range evs {
+			n := int64(e.Seq)
+			if int64(e.At) != n || int64(e.Epoch) != n || e.Value != n || int64(e.Page) != n {
+				t.Fatalf("torn event %+v", e)
+			}
+		}
+		return evs
+	}
+	record := func(j *Journal, seq uint64) {
+		j.next.Store(seq)
+		n := int64(seq)
+		j.record(time.Duration(n), StageWrite, uint64(n), int32(n), 0, n)
+	}
+	for _, olderFirst := range []bool{true, false} {
+		j := NewJournal(16)
+		older, newer := uint64(3), uint64(3+j.Cap())
+		first, second := older, newer
+		if !olderFirst {
+			first, second = newer, older
+		}
+		// The first writer claims the slot and stalls after one field.
+		s := &j.slots[first&j.mask]
+		if !claimSlot(&s.seq, first) {
+			t.Fatal("first writer could not claim an empty slot")
+		}
+		s.at.Store(int64(first))
+		if evs := whole(j); len(evs) != 0 {
+			t.Fatalf("snapshot returned the slot mid-write: %+v", evs)
+		}
+		// The second writer lands on the same slot and must not write it.
+		record(j, second)
+		if evs := whole(j); len(evs) != 0 {
+			t.Fatalf("snapshot returned the slot mid-write: %+v", evs)
+		}
+		// The first writer finishes and publishes.
+		s.epoch.Store(first)
+		s.value.Store(int64(first))
+		s.packed.Store(packEvent(StageWrite, int32(first), 0))
+		s.seq.Store(stampOf(first))
+		evs := whole(j)
+		if len(evs) != 1 || evs[0].Seq != first {
+			t.Fatalf("snapshot %+v, want only event %d", evs, first)
+		}
+		// A lapped writer never overwrites a newer event; a newer one
+		// replaces an older event whole.
+		record(j, older)
+		if evs := whole(j); len(evs) != 1 || evs[0].Seq != max(first, older) {
+			t.Fatalf("after a late older write: %+v", evs)
+		}
+		record(j, newer+uint64(j.Cap()))
+		if evs := whole(j); len(evs) != 1 || evs[0].Seq != newer+uint64(j.Cap()) {
+			t.Fatalf("after a newer write: %+v", evs)
+		}
+	}
+}

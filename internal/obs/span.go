@@ -71,9 +71,9 @@ type Span struct {
 // Dur returns the span length.
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
-// spanSlot is one ring entry, seqlock-published exactly like
-// journalSlot: seq 0 means empty or mid-write, n+1 means span n is
-// complete, and readers validate seq around the payload loads.
+// spanSlot is one ring entry, claimed and stamped exactly like
+// journalSlot (claimSlot), and readers validate the stamp around the
+// payload loads.
 type spanSlot struct {
 	seq    atomic.Uint64
 	start  atomic.Int64
@@ -91,8 +91,9 @@ func unpackSpan(p uint64) (kind SpanKind, tier int8) {
 }
 
 // SpanLog is a bounded, lock-free ring of lifecycle spans, the interval
-// counterpart of the trace Journal: writers claim a slot with one
-// fetch-add and publish seqlock-style, Snapshot never blocks writers,
+// counterpart of the trace Journal: writers take a sequence number with
+// one fetch-add and claim and stamp its slot as Journal writers do,
+// Snapshot never blocks writers,
 // and when the ring wraps the oldest epochs fall off — it is a flight
 // recorder, not a log.
 type SpanLog struct {
@@ -119,17 +120,19 @@ func NewSpanLog(depth int) *SpanLog {
 // Cap returns the ring capacity.
 func (l *SpanLog) Cap() int { return len(l.slots) }
 
-// record appends one span. Allocation-free: one fetch-add plus five
-// atomic stores.
+// record appends one span. Allocation-free: one fetch-add, one CAS claim
+// and five atomic stores.
 func (l *SpanLog) record(kind SpanKind, epoch uint64, tier int8, start, end time.Duration) {
 	seq := l.next.Add(1) - 1
 	s := &l.slots[seq&l.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
+	if !claimSlot(&s.seq, seq) {
+		return
+	}
 	s.start.Store(int64(start))
 	s.end.Store(int64(end))
 	s.epoch.Store(epoch)
 	s.packed.Store(packSpan(kind, tier))
-	s.seq.Store(seq + 1) // publish
+	s.seq.Store(stampOf(seq)) // publish
 }
 
 // Snapshot returns the retained spans ordered by sequence number,
@@ -140,20 +143,23 @@ func (l *SpanLog) Snapshot() []Span {
 	for i := range l.slots {
 		s := &l.slots[i]
 		for attempt := 0; attempt < 2; attempt++ {
-			seq1 := s.seq.Load()
-			if seq1 == 0 {
+			st := s.seq.Load()
+			if st == 0 {
 				break
+			}
+			if st&slotWriting != 0 {
+				continue // mid-write; retry once
 			}
 			start := s.start.Load()
 			end := s.end.Load()
 			epoch := s.epoch.Load()
 			packed := s.packed.Load()
-			if s.seq.Load() != seq1 {
+			if s.seq.Load() != st {
 				continue // overwritten mid-read; retry once
 			}
 			kind, tier := unpackSpan(packed)
 			out = append(out, Span{
-				Seq: seq1 - 1, Kind: kind, Epoch: epoch, Tier: tier,
+				Seq: stampSeq(st), Kind: kind, Epoch: epoch, Tier: tier,
 				Start: time.Duration(start), End: time.Duration(end),
 			})
 			break

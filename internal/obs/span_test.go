@@ -213,3 +213,54 @@ func TestBuildEpochRecords(t *testing.T) {
 		t.Fatalf("empty inputs produced %d records", len(got))
 	}
 }
+
+// TestSpanLogLappedWritersShareNoSlot is the span-ring twin of
+// TestJournalLappedWritersShareNoSlot: spans n and n+Cap share a slot, the
+// writer that claims it first owns it, and snapshots never return a mix
+// (every field of a span here is derived from its sequence number).
+func TestSpanLogLappedWritersShareNoSlot(t *testing.T) {
+	whole := func(l *SpanLog) []Span {
+		t.Helper()
+		sps := l.Snapshot()
+		for _, s := range sps {
+			n := int64(s.Seq)
+			if int64(s.Start) != n || int64(s.End) != n+1 || int64(s.Epoch) != n || s.Kind != SpanPromote {
+				t.Fatalf("torn span %+v", s)
+			}
+		}
+		return sps
+	}
+	record := func(l *SpanLog, seq uint64) {
+		l.next.Store(seq)
+		n := time.Duration(seq)
+		l.record(SpanPromote, seq, 1, n, n+1)
+	}
+	for _, olderFirst := range []bool{true, false} {
+		l := NewSpanLog(16)
+		older, newer := uint64(5), uint64(5+l.Cap())
+		first, second := older, newer
+		if !olderFirst {
+			first, second = newer, older
+		}
+		s := &l.slots[first&l.mask]
+		if !claimSlot(&s.seq, first) {
+			t.Fatal("first writer could not claim an empty slot")
+		}
+		s.start.Store(int64(first))
+		record(l, second)
+		if sps := whole(l); len(sps) != 0 {
+			t.Fatalf("snapshot returned the slot mid-write: %+v", sps)
+		}
+		s.end.Store(int64(first) + 1)
+		s.epoch.Store(first)
+		s.packed.Store(packSpan(SpanPromote, 1))
+		s.seq.Store(stampOf(first))
+		if sps := whole(l); len(sps) != 1 || sps[0].Seq != first {
+			t.Fatalf("snapshot %+v, want only span %d", sps, first)
+		}
+		record(l, newer+uint64(l.Cap()))
+		if sps := whole(l); len(sps) != 1 || sps[0].Seq != newer+uint64(l.Cap()) {
+			t.Fatalf("after a newer write: %+v", sps)
+		}
+	}
+}
